@@ -56,21 +56,25 @@ SolverResult Analyzer::satisfiable(Formula Psi) {
 }
 
 AnalysisResult Analyzer::fromSolver(SolverResult R, bool HoldsWhenUnsat,
-                                    const ExprRef *Selected,
-                                    const ExprRef *Excluded) {
+                                    const std::vector<ExprRef> &Selected,
+                                    const std::vector<ExprRef> &Excluded) {
   AnalysisResult A;
   A.Stats = R.Stats;
   A.FromCache = R.FromCache;
   A.Holds = HoldsWhenUnsat ? !R.Satisfiable : R.Satisfiable;
   if (R.Model) {
     A.Tree = std::move(R.Model);
-    // Annotate a target node by re-running the concrete semantics.
-    if (Selected && A.Tree->markedNode() != InvalidNodeId) {
-      NodeSet Sel = evalXPath(*A.Tree, *Selected);
-      if (Excluded) {
-        for (NodeId N : evalXPath(*A.Tree, *Excluded))
-          Sel.erase(N);
+    // Annotate a target node by re-running the concrete semantics: the
+    // first node every positive query selects and no negated one does.
+    if (!Selected.empty() && A.Tree->markedNode() != InvalidNodeId) {
+      NodeSet Sel = evalXPath(*A.Tree, Selected.front());
+      for (size_t I = 1; I < Selected.size(); ++I) {
+        NodeSet Also = evalXPath(*A.Tree, Selected[I]);
+        std::erase_if(Sel, [&](NodeId N) { return !Also.count(N); });
       }
+      for (const ExprRef &X : Excluded)
+        for (NodeId N : evalXPath(*A.Tree, X))
+          Sel.erase(N);
       if (!Sel.empty())
         A.Target = *Sel.begin();
     }
@@ -80,20 +84,21 @@ AnalysisResult Analyzer::fromSolver(SolverResult R, bool HoldsWhenUnsat,
 
 AnalysisResult Analyzer::emptiness(const ExprRef &E, Formula Chi) {
   Formula Psi = compiled(E, Chi);
-  return fromSolver(satisfiable(Psi), /*HoldsWhenUnsat=*/true, &E, nullptr);
+  return fromSolver(satisfiable(Psi), /*HoldsWhenUnsat=*/true, {E}, {});
 }
 
 AnalysisResult Analyzer::containment(const ExprRef &E1, Formula Chi1,
                                      const ExprRef &E2, Formula Chi2) {
   Formula Psi =
       FF.conj(compiled(E1, Chi1), FF.negate(compiled(E2, Chi2)));
-  return fromSolver(satisfiable(Psi), /*HoldsWhenUnsat=*/true, &E1, &E2);
+  return fromSolver(satisfiable(Psi), /*HoldsWhenUnsat=*/true, {E1}, {E2});
 }
 
 AnalysisResult Analyzer::overlap(const ExprRef &E1, Formula Chi1,
                                  const ExprRef &E2, Formula Chi2) {
   Formula Psi = FF.conj(compiled(E1, Chi1), compiled(E2, Chi2));
-  return fromSolver(satisfiable(Psi), /*HoldsWhenUnsat=*/false, &E1, nullptr);
+  return fromSolver(satisfiable(Psi), /*HoldsWhenUnsat=*/false, {E1, E2},
+                    {});
 }
 
 AnalysisResult Analyzer::coverage(const ExprRef &E, Formula Chi,
@@ -104,7 +109,7 @@ AnalysisResult Analyzer::coverage(const ExprRef &E, Formula Chi,
     Formula ChiI = I < OtherChis.size() ? OtherChis[I] : FF.trueF();
     Psi = FF.conj(Psi, FF.negate(compiled(Others[I], ChiI)));
   }
-  return fromSolver(satisfiable(Psi), /*HoldsWhenUnsat=*/true, &E, nullptr);
+  return fromSolver(satisfiable(Psi), /*HoldsWhenUnsat=*/true, {E}, Others);
 }
 
 AnalysisResult Analyzer::equivalence(const ExprRef &E1, Formula Chi1,
@@ -122,5 +127,5 @@ AnalysisResult Analyzer::equivalence(const ExprRef &E1, Formula Chi1,
 AnalysisResult Analyzer::staticTypeCheck(const ExprRef &E, Formula ChiIn,
                                          Formula OutType) {
   Formula Psi = FF.conj(compiled(E, ChiIn), FF.negate(OutType));
-  return fromSolver(satisfiable(Psi), /*HoldsWhenUnsat=*/true, &E, nullptr);
+  return fromSolver(satisfiable(Psi), /*HoldsWhenUnsat=*/true, {E}, {});
 }

@@ -42,8 +42,9 @@ struct AnalysisResult {
   /// Witness or counterexample tree when the underlying formula was
   /// satisfiable; carries the start mark.
   std::optional<Document> Tree;
-  /// A node of Tree relevant to the property (e.g. selected by e1 and
-  /// not by e2 for containment), or InvalidNodeId.
+  /// A node of Tree relevant to the property (selected by e1 and not by
+  /// e2 for containment, by both for overlap, by e and by none of the
+  /// others for coverage), or InvalidNodeId.
   NodeId Target = InvalidNodeId;
   SolverStats Stats;
   /// True when the underlying satisfiability query (both directions, for
@@ -123,8 +124,13 @@ private:
   /// Memoized compileXPath(FF, E, contextFor(E, Chi)).
   Formula compiled(const ExprRef &E, Formula Chi);
 
+  /// Wraps a solver result. The witness target is the first node (in
+  /// document order) that every query in \p Selected selects and no
+  /// query in \p Excluded does: the queries the formula conjoins
+  /// positively and negatively.
   AnalysisResult fromSolver(SolverResult R, bool HoldsWhenUnsat,
-                            const ExprRef *Selected, const ExprRef *Excluded);
+                            const std::vector<ExprRef> &Selected,
+                            const std::vector<ExprRef> &Excluded);
 };
 
 } // namespace xsa

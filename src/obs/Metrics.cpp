@@ -69,6 +69,8 @@ HistogramSnapshot Histogram::snapshot() const {
     S.Counts[I] = Buckets[I].load(std::memory_order_relaxed);
   S.Count = Total.load(std::memory_order_relaxed);
   S.Sum = static_cast<double>(SumMicro.load(std::memory_order_relaxed)) / 1e6;
+  S.Min = MinSeen.load(std::memory_order_relaxed);
+  S.Max = MaxSeen.load(std::memory_order_relaxed);
   return S;
 }
 
@@ -81,14 +83,19 @@ HistogramSnapshot HistogramSnapshot::since(const HistogramSnapshot &Base) const 
     D.Counts[I] = Counts[I] - Base.Counts[I];
   D.Count = Count - Base.Count;
   D.Sum = Sum - Base.Sum;
+  D.Min = Min;
+  D.Max = Max;
   return D;
 }
 
-double HistogramSnapshot::quantile(double Q) const {
-  if (Count == 0)
-    return 0;
+/// The \p Q quantile of a non-empty snapshot by linear interpolation
+/// within the owning bucket. The +Inf bucket spans from the last finite
+/// bound to the observed maximum.
+static double interpolatedQuantile(const HistogramSnapshot &S, double Q) {
+  const std::vector<double> &Bounds = S.Bounds;
+  const std::vector<uint64_t> &Counts = S.Counts;
   // Rank of the target observation (1-based), then walk buckets.
-  double Rank = Q * static_cast<double>(Count);
+  double Rank = Q * static_cast<double>(S.Count);
   if (Rank < 1)
     Rank = 1;
   uint64_t Seen = 0;
@@ -96,10 +103,8 @@ double HistogramSnapshot::quantile(double Q) const {
     if (Counts[I] == 0)
       continue;
     double Lo = I == 0 ? 0 : Bounds[I - 1];
-    double Hi = I < Bounds.size() ? Bounds[I] : Bounds.back();
+    double Hi = I < Bounds.size() ? Bounds[I] : std::max(S.Max, Lo);
     if (Rank <= static_cast<double>(Seen + Counts[I])) {
-      if (I >= Bounds.size())
-        return Hi; // +Inf bucket: best we can say is the last bound
       double Within = (Rank - static_cast<double>(Seen)) /
                       static_cast<double>(Counts[I]);
       return Lo + (Hi - Lo) * Within;
@@ -107,6 +112,15 @@ double HistogramSnapshot::quantile(double Q) const {
     Seen += Counts[I];
   }
   return Bounds.empty() ? 0 : Bounds.back();
+}
+
+double HistogramSnapshot::quantile(double Q) const {
+  if (Count == 0)
+    return 0;
+  double V = interpolatedQuantile(*this, Q);
+  // A racing observe() may have counted a value before publishing it to
+  // Min/Max; clamp only once the range is known.
+  return Min <= Max ? std::clamp(V, Min, Max) : V;
 }
 
 //===----------------------------------------------------------------------===//

@@ -22,9 +22,10 @@
 ///    cache line;
 ///  * Gauge is a single relaxed atomic double (last write wins — it is a
 ///    sampled instantaneous value, not a tally);
-///  * Histogram keeps one relaxed atomic per bucket plus a fixed-point
-///    sum; observe() is two relaxed fetch_adds and a branchless-ish
-///    bucket search over a small bound array.
+///  * Histogram keeps one relaxed atomic per bucket, a fixed-point sum
+///    and the smallest and largest value seen; observe() is two relaxed
+///    fetch_adds, a bucket search over a small bound array, and a
+///    compare-exchange only when a value extends the observed range.
 ///
 /// Like every counter bundle in this codebase (see service/Context.h),
 /// relaxed ordering is sufficient: metrics are independent monotonic
@@ -43,6 +44,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -96,12 +98,18 @@ struct HistogramSnapshot {
   std::vector<uint64_t> Counts; ///< per bucket; Bounds.size()+1 long (+Inf last)
   uint64_t Count = 0;
   double Sum = 0;
+  /// Smallest / largest value observed (Min > Max when none has been).
+  /// For a since() delta these are the bounds of everything observed up
+  /// to the later snapshot, which still bound the delta's values.
+  double Min = std::numeric_limits<double>::infinity();
+  double Max = -std::numeric_limits<double>::infinity();
 
   /// This snapshot minus an earlier \p Base of the same histogram.
   HistogramSnapshot since(const HistogramSnapshot &Base) const;
   /// The \p Q quantile (0..1) estimated by linear interpolation within
-  /// the owning bucket; 0 when empty. Observations past the last finite
-  /// bound report that bound (the histogram cannot resolve further).
+  /// the owning bucket, clamped to [Min, Max] so it never reports a
+  /// value outside what was observed (a lone observation reports
+  /// itself, an overflow-bucket one its observed maximum); 0 when empty.
   double quantile(double Q) const;
 };
 
@@ -118,6 +126,14 @@ public:
     size_t I = 0, N = Bounds.size();
     while (I < N && V > Bounds[I])
       ++I;
+    double Lo = MinSeen.load(std::memory_order_relaxed);
+    while (V < Lo &&
+           !MinSeen.compare_exchange_weak(Lo, V, std::memory_order_relaxed))
+      ;
+    double Hi = MaxSeen.load(std::memory_order_relaxed);
+    while (V > Hi &&
+           !MaxSeen.compare_exchange_weak(Hi, V, std::memory_order_relaxed))
+      ;
     Buckets[I].fetch_add(1, std::memory_order_relaxed);
     Total.fetch_add(1, std::memory_order_relaxed);
     // Fixed-point micro-units: atomic doubles cannot fetch_add portably.
@@ -146,6 +162,8 @@ private:
   std::unique_ptr<std::atomic<uint64_t>[]> Buckets; ///< Bounds.size()+1
   std::atomic<uint64_t> Total{0};
   std::atomic<uint64_t> SumMicro{0}; ///< sum in 1e-6 units of the value
+  std::atomic<double> MinSeen{std::numeric_limits<double>::infinity()};
+  std::atomic<double> MaxSeen{-std::numeric_limits<double>::infinity()};
   mutable std::mutex ExMu;
   std::string ExLabel; ///< guarded by ExMu
   double ExVal = 0;    ///< guarded by ExMu

@@ -9,9 +9,15 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <sstream>
 #include <thread>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 using namespace xsa;
 
@@ -27,6 +33,45 @@ size_t resolveJobs(size_t Jobs) {
   // (wrapped negative, typo'd protocol field) must not translate into
   // unbounded thread/arena allocation.
   return std::min(Jobs, AnalysisSession::MaxJobs);
+}
+
+/// Replaces \p Path with \p Text so that a crash or a full disk at any
+/// point leaves either the old file or the new one, never a torn mix:
+/// write "<Path>.tmp", fsync it, then rename it over \p Path.
+bool replaceFile(const std::string &Path, const std::string &Text,
+                 std::string &Error) {
+  const std::string Tmp = Path + ".tmp";
+  int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (Fd < 0) {
+    Error = "cannot create cache file " + Tmp + ": " + std::strerror(errno);
+    return false;
+  }
+  // Reports a failed step and removes the half-written temporary.
+  auto Fail = [&](const char *Step) {
+    Error = std::string("cannot ") + Step + " cache file " + Tmp + ": " +
+            std::strerror(errno);
+    if (Fd >= 0)
+      ::close(Fd);
+    ::unlink(Tmp.c_str());
+    return false;
+  };
+  for (size_t Done = 0; Done < Text.size();) {
+    ssize_t N = ::write(Fd, Text.data() + Done, Text.size() - Done);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return Fail("write");
+    Done += static_cast<size_t>(N);
+  }
+  if (::fsync(Fd) != 0)
+    return Fail("fsync");
+  int Closed = ::close(Fd);
+  Fd = -1;
+  if (Closed != 0)
+    return Fail("close");
+  if (::rename(Tmp.c_str(), Path.c_str()) != 0)
+    return Fail("rename");
+  return true;
 }
 
 } // namespace
@@ -64,20 +109,6 @@ void AnalysisSession::setFixpointStrategy(FixpointStrategy S) {
   Main.setFixpointStrategy(S);
   for (auto &W : Workers)
     W->setFixpointStrategy(S);
-}
-
-void AnalysisSession::setBddBackend(BddBackendKind K) {
-  Opts.Solver.Backend = K;
-  Main.setBddBackend(K);
-  for (auto &W : Workers)
-    W->setBddBackend(K);
-}
-
-void AnalysisSession::setBddThreads(unsigned N) {
-  Opts.Solver.BddThreads = N;
-  Main.setBddThreads(N);
-  for (auto &W : Workers)
-    W->setBddThreads(N);
 }
 
 AnalysisResult AnalysisSession::emptiness(const ExprRef &E, Formula Chi) {
@@ -166,11 +197,7 @@ static constexpr int CacheFormatVersion = 2;
 
 bool AnalysisSession::saveCache(const std::string &Path,
                                 std::string &Error) const {
-  std::ofstream Out(Path, std::ios::trunc);
-  if (!Out) {
-    Error = "cannot write cache file " + Path;
-    return false;
-  }
+  std::ostringstream Out;
   JsonRef Header = JsonValue::object();
   Header->set("xsa_cache", JsonValue::number(CacheFormatVersion));
   Out << Header->dump() << "\n";
@@ -260,11 +287,7 @@ bool AnalysisSession::saveCache(const std::string &Path,
     O->set("strategy", JsonValue::string(fixpointStrategyName(S)));
     Out << O->dump() << "\n";
   }
-  if (!Out) {
-    Error = "write error on cache file " + Path;
-    return false;
-  }
-  return true;
+  return replaceFile(Path, Out.str(), Error);
 }
 
 bool AnalysisSession::loadCache(const std::string &Path, std::string &Error) {

@@ -16,9 +16,7 @@
 ///  * each worker owns an AnalysisContext (see Context.h) — its own
 ///    FormulaFactory, parser memo, DTD memo, Analyzer and BddSolver —
 ///    because a context is single-threaded by design: the session
-///    parallelizes across solver instances. (Orthogonally, the parallel
-///    BDD backend — bdd/Parallel.h — parallelizes inside one solver
-///    run; its workers stay confined to a single BDD operation.)
+///    parallelizes across solver instances.
 ///
 /// Repeated or α-equivalent queries — the common case in query-optimizer
 /// and schema-audit workloads — are answered from the shared cache
@@ -194,17 +192,6 @@ public:
   FixpointStrategy fixpointStrategy() const { return Opts.Solver.Strategy; }
   void setFixpointStrategy(FixpointStrategy S);
 
-  /// The BDD backend (SolverOptions::Backend), applied to every context.
-  /// Results are backend-invariant (bdd/Bdd.h), so this only moves wall
-  /// time. Not thread-safe against a running batch.
-  BddBackendKind bddBackend() const { return Opts.Solver.Backend; }
-  void setBddBackend(BddBackendKind K);
-
-  /// Worker threads inside one BDD operation (SolverOptions::BddThreads,
-  /// parallel backend only; 0 = hardware concurrency).
-  unsigned bddThreads() const { return Opts.Solver.BddThreads; }
-  void setBddThreads(unsigned N);
-
   /// The dispatcher's pool, sized to jobs() threads, with one warm
   /// AnalysisContext per worker. Lazily constructed on first use so
   /// jobs=1 sessions never spawn a thread.
@@ -226,7 +213,10 @@ public:
   /// ("oq"), and remembered per-lean fixpoint-strategy choices ("st").
   /// Line shapes a reader does not recognize are skipped, so the "st"
   /// lines did not bump the format version — older readers ignore them.
-  /// Returns false and sets \p Error on I/O failure.
+  /// The file is replaced atomically (written to "<Path>.tmp", fsynced,
+  /// then renamed over \p Path), so a crash or a full disk mid-save
+  /// leaves the previous file intact. Returns false and sets \p Error,
+  /// naming the step that failed, on I/O failure.
   bool saveCache(const std::string &Path, std::string &Error) const;
 
   /// Loads entries saved by saveCache into the shared stores (counted as

@@ -138,6 +138,41 @@ TEST_F(AnalysisTest, Coverage) {
                   .Holds);
 }
 
+TEST_F(AnalysisTest, OverlapTargetIsSelectedByBothQueries) {
+  // The wider query first: the first node e1 selects is the root-most
+  // ancestor, which need not have a following c sibling.
+  ExprRef E1 = xp("ancestor::*");
+  ExprRef E2 = xp("ancestor::*[following-sibling::c]");
+  AnalysisResult R = An.overlap(E1, True(), E2, True());
+  EXPECT_TRUE(R.Holds);
+  ASSERT_TRUE(R.Tree.has_value());
+  ASSERT_NE(R.Target, InvalidNodeId) << printXml(*R.Tree);
+  EXPECT_TRUE(evalXPath(*R.Tree, E1).count(R.Target))
+      << printXml(*R.Tree, R.Target);
+  EXPECT_TRUE(evalXPath(*R.Tree, E2).count(R.Target))
+      << printXml(*R.Tree, R.Target);
+}
+
+TEST_F(AnalysisTest, CoverageTargetIsUncoveredByEveryOther) {
+  // The counterexample needs a node two levels down; the first node
+  // descendant::* selects (in document order) is then a child, which
+  // child::* covers.
+  ExprRef E = xp("descendant::*");
+  ExprRef Other = xp("child::*");
+  AnalysisResult R = An.coverage(E, True(), {Other}, {True()});
+  EXPECT_FALSE(R.Holds);
+  ASSERT_TRUE(R.Tree.has_value());
+  NodeSet Selected = evalXPath(*R.Tree, E);
+  NodeSet Covered = evalXPath(*R.Tree, Other);
+  ASSERT_FALSE(Selected.empty());
+  EXPECT_TRUE(Covered.count(*Selected.begin()))
+      << "the first selected node should be covered: "
+      << printXml(*R.Tree);
+  ASSERT_NE(R.Target, InvalidNodeId) << printXml(*R.Tree);
+  EXPECT_TRUE(Selected.count(R.Target)) << printXml(*R.Tree, R.Target);
+  EXPECT_FALSE(Covered.count(R.Target)) << printXml(*R.Tree, R.Target);
+}
+
 TEST_F(AnalysisTest, StaticTypeCheck) {
   // Nodes selected by /article under the Wikipedia DTD are article
   // trees: type check against the same type holds.

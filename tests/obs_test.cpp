@@ -83,14 +83,36 @@ TEST(Histogram, QuantilesInterpolateWithinOwningBucket) {
   EXPECT_DOUBLE_EQ(S.quantile(0.5), 2.0);
   // p25 exhausts exactly the first bucket.
   EXPECT_DOUBLE_EQ(S.quantile(0.25), 1.0);
-  // p100 lands at the top of the (4,8] bucket.
-  EXPECT_DOUBLE_EQ(S.quantile(1.0), 8.0);
+  // p100 interpolates to the top of the (4,8] bucket, but nothing above
+  // 6 was observed: the quantile is clamped to the largest observation.
+  EXPECT_DOUBLE_EQ(S.quantile(1.0), 6.0);
+  EXPECT_DOUBLE_EQ(S.Min, 0.5);
+  EXPECT_DOUBLE_EQ(S.Max, 6.0);
 }
 
-TEST(Histogram, OverflowBucketReportsLastFiniteBound) {
+TEST(Histogram, SingleSampleReportsItselfAtEveryQuantile) {
+  // One 1683 ms solve in the default latency buckets: interpolation
+  // alone would report its bucket's upper bound as p50.
+  Histogram H(Histogram::defaultLatencyBucketsMs());
+  H.observe(1683);
+  HistogramSnapshot S = H.snapshot();
+  for (double Q : {0.01, 0.5, 0.99, 1.0})
+    EXPECT_DOUBLE_EQ(S.quantile(Q), 1683.0) << Q;
+}
+
+TEST(Histogram, OverflowBucketReportsObservedValues) {
   Histogram H({1, 2});
   H.observe(100); // +Inf bucket
-  EXPECT_DOUBLE_EQ(H.snapshot().quantile(0.99), 2.0);
+  EXPECT_DOUBLE_EQ(H.snapshot().quantile(0.99), 100.0);
+  H.observe(300);
+  HistogramSnapshot S = H.snapshot();
+  // The +Inf bucket spans (2, 300]: p50 is rank 1 of 2, halfway up it.
+  EXPECT_DOUBLE_EQ(S.quantile(0.5), 151.0);
+  EXPECT_DOUBLE_EQ(S.quantile(1.0), 300.0);
+  for (double Q : {0.01, 0.5, 0.99}) {
+    EXPECT_GE(S.quantile(Q), 100.0) << Q;
+    EXPECT_LE(S.quantile(Q), 300.0) << Q;
+  }
 }
 
 TEST(Histogram, SnapshotDeltaIsolatesABracketedRegion) {
@@ -485,21 +507,32 @@ TEST(BatchProtocol, StableMetricsOpOmitsVolatileSections) {
 }
 
 TEST(BatchProtocol, UnknownConfigKeyIsRejectedStructurally) {
-  AnalysisSession Session;
-  std::string Out = runLines(
-      Session, "{\"id\":\"c\",\"op\":\"config\",\"share_fixpoint\":true}\n");
-  std::string Err;
-  JsonRef R = parseJson(Out, Err);
-  ASSERT_NE(R, nullptr) << Err;
-  EXPECT_EQ(R->str("id"), "c");
-  EXPECT_FALSE(R->get("ok")->asBool());
-  JsonRef E = R->get("error");
-  ASSERT_EQ(E->type(), JsonValue::Type::Object);
-  EXPECT_EQ(E->str("code"), "unknown_config_key");
-  EXPECT_EQ(E->str("key"), "share_fixpoint");
-  EXPECT_EQ(E->get("line")->asNumber(), 1);
-  // The near-miss did NOT silently enable sharing.
-  EXPECT_FALSE(Session.shareFixpointsEnabled());
+  // A misspelled switch, and a key this protocol no longer has (a stale
+  // client still selecting a BDD backend): both get a structured
+  // rejection, never silence.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"{\"id\":\"c\",\"op\":\"config\",\"share_fixpoint\":true}\n",
+       "share_fixpoint"},
+      {"{\"id\":\"c\",\"op\":\"config\",\"bdd_backend\":\"parallel\"}\n",
+       "bdd_backend"},
+  };
+  for (const auto &[Line, Key] : Cases) {
+    SCOPED_TRACE(Line);
+    AnalysisSession Session;
+    std::string Out = runLines(Session, Line);
+    std::string Err;
+    JsonRef R = parseJson(Out, Err);
+    ASSERT_NE(R, nullptr) << Err;
+    EXPECT_EQ(R->str("id"), "c");
+    EXPECT_FALSE(R->get("ok")->asBool());
+    JsonRef E = R->get("error");
+    ASSERT_EQ(E->type(), JsonValue::Type::Object);
+    EXPECT_EQ(E->str("code"), "unknown_config_key");
+    EXPECT_EQ(E->str("key"), Key);
+    EXPECT_EQ(E->get("line")->asNumber(), 1);
+    // The near-miss did NOT silently enable sharing.
+    EXPECT_FALSE(Session.shareFixpointsEnabled());
+  }
 }
 
 TEST(BatchProtocol, KnownConfigKeysStillApply) {
@@ -698,7 +731,6 @@ TEST(SlowQueryLog, ToJsonCarriesReproductionPayload) {
   R.Optimize = true;
   R.Share = true;
   R.Strategy = "auto";
-  R.Backend = "parallel";
   JsonRef J = SlowQueryLog::toJson(R);
   // The request embeds as an object (re-parsed, not a quoted string) —
   // what `xsolve replay` re-executes.
@@ -712,7 +744,7 @@ TEST(SlowQueryLog, ToJsonCarriesReproductionPayload) {
   EXPECT_TRUE(Cfg->get("optimize")->asBool());
   EXPECT_TRUE(Cfg->get("share_fixpoints")->asBool());
   EXPECT_EQ(Cfg->str("fixpoint_strategy"), "auto");
-  EXPECT_EQ(Cfg->str("bdd_backend"), "parallel");
+  EXPECT_EQ(Cfg->members().size(), 3u);
 }
 
 //===----------------------------------------------------------------------===//

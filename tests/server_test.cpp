@@ -621,6 +621,12 @@ TEST(Server, StatusOpReportsLiveState) {
   for (const char *Key : {"queue_depth", "queue_limit", "in_flight", "bdd",
                           "namespaces", "slowlog", "log"})
     EXPECT_TRUE(S->has(Key)) << Key;
+  // One BDD manager kind, so the block is flat: node gauges directly.
+  JsonRef Bdd = S->get("bdd");
+  ASSERT_EQ(Bdd->type(), JsonValue::Type::Object);
+  for (const char *Key : {"live_nodes", "peak_nodes"})
+    EXPECT_EQ(Bdd->get(Key)->type(), JsonValue::Type::Number) << Key;
+  EXPECT_EQ(Bdd->members().size(), 2u);
   JsonRef Default = S->get("namespaces")->get("default");
   ASSERT_EQ(Default->type(), JsonValue::Type::Object);
   EXPECT_TRUE(Default->has("in_flight"));

@@ -33,6 +33,9 @@
 #include <fstream>
 #include <sstream>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 using namespace xsa;
 
 namespace {
@@ -921,6 +924,41 @@ TEST(PersistentCache, SaveLoadRoundTripPreservesEntryCount) {
   AnalysisSession B;
   ASSERT_TRUE(B.loadCache(Path, Error)) << Error;
   EXPECT_EQ(B.resultCache().size(), Size);
+  std::remove(Path.c_str());
+}
+
+TEST(PersistentCache, FailedSaveLeavesThePreviousFileIntact) {
+  std::string Path = testing::TempDir() + "xsa_service_test_atomic.jsonl";
+  std::string Tmp = Path + ".tmp";
+  std::remove(Path.c_str());
+  ::rmdir(Tmp.c_str());
+  auto ReadAll = [](const std::string &P) {
+    std::ifstream In(P, std::ios::binary);
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    return SS.str();
+  };
+
+  AnalysisSession A;
+  runLinesRaw(A, mixedInput());
+  std::string Error;
+  ASSERT_TRUE(A.saveCache(Path, Error)) << Error;
+  std::string Before = ReadAll(Path);
+  ASSERT_FALSE(Before.empty());
+  EXPECT_NE(::access(Tmp.c_str(), F_OK), 0) << "the temporary was renamed";
+
+  // The temporary cannot be created: a directory already sits at its
+  // name. The save must fail, say which step failed, and leave the last
+  // good file byte-identical.
+  ASSERT_EQ(::mkdir(Tmp.c_str(), 0755), 0);
+  AnalysisSession B;
+  runLinesRaw(B, "{\"id\":\"x\",\"op\":\"empty\",\"e\":\"a/b\"}\n");
+  Error.clear();
+  EXPECT_FALSE(B.saveCache(Path, Error));
+  EXPECT_NE(Error.find(Tmp), std::string::npos) << Error;
+  EXPECT_EQ(ReadAll(Path), Before);
+
+  ::rmdir(Tmp.c_str());
   std::remove(Path.c_str());
 }
 
