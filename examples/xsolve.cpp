@@ -27,6 +27,7 @@
 #include "analysis/Problems.h"
 #include "logic/CycleFree.h"
 #include "obs/Metrics.h"
+#include "obs/SlowQuery.h"
 #include "obs/Trace.h"
 #include "service/Batch.h"
 #include "service/Session.h"
@@ -38,9 +39,9 @@
 #include "xtype/Validate.h"
 
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -107,18 +108,7 @@ int usage() {
       "                  exists) and save it back on exit\n"
       "  --stable        omit execution-dependent fields (cache, time_ms)\n"
       "                  so output is byte-identical at any job count\n"
-      "  --optimize      rewrite every query (solver-verified) before\n"
-      "                  analysis, canonicalizing near-duplicates onto\n"
-      "                  shared cache entries\n"
-      "  --share-fixpoints\n"
-      "                  share solver fixpoint sets across requests:\n"
-      "                  runs with the same lean replay stored iterates\n"
-      "                  instead of recomputing them (output unchanged)\n"
-      "  --fixpoint-strategy S\n"
-      "                  schedule the fixpoint iteration: bfs (default),\n"
-      "                  chaining, saturation, or auto (pick per lean,\n"
-      "                  remembered in the cache file); verdicts and\n"
-      "                  models are strategy-independent\n"
+      "%s"
       "  --trace-file F  record spans for every pipeline stage and write\n"
       "                  them as Chrome trace-event JSON to F (open in\n"
       "                  Perfetto / chrome://tracing); response output is\n"
@@ -126,7 +116,8 @@ int usage() {
       "  --metrics-file F\n"
       "                  write the process metric registry to F in\n"
       "                  Prometheus text format on exit (see also the\n"
-      "                  {\"op\":\"metrics\"} protocol line)\n");
+      "                  {\"op\":\"metrics\"} protocol line)\n",
+      RequestConfigFlagsUsage);
   return 2;
 }
 
@@ -167,120 +158,6 @@ ExprRef parseQuery(const char *Src) {
   return E;
 }
 
-/// Collects slowlog record objects from any of the shapes `xsolve
-/// replay` accepts: one record object, a /slowlog dump object (its
-/// "records" array), or a bare array of either.
-void collectSlowlogRecords(const JsonRef &V, std::vector<JsonRef> &Out) {
-  if (!V)
-    return;
-  if (V->type() == JsonValue::Type::Array) {
-    for (const JsonRef &E : V->items())
-      collectSlowlogRecords(E, Out);
-    return;
-  }
-  if (V->type() != JsonValue::Type::Object)
-    return;
-  // A dump object: xsolved's /slowlog and {"op":"slowlog"} responses
-  // carry "entries"; accept "records" as a synonym for hand-built input.
-  for (const char *Key : {"entries", "records"}) {
-    JsonRef Recs = V->get(Key);
-    if (Recs && Recs->type() == JsonValue::Type::Array) {
-      collectSlowlogRecords(Recs, Out);
-      return;
-    }
-  }
-  Out.push_back(V);
-}
-
-/// Turns slowlog JSON (one record, a /slowlog dump, an array, or
-/// JSON-lines of records) into batch text: for each record that carries
-/// a reproduction payload, a {"op":"config",...} preamble built from its
-/// "config" snapshot followed by its "request" object stripped of
-/// server-only fields. Consecutive identical config lines are elided.
-bool slowlogToBatch(const std::string &Text, std::string &BatchText,
-                    std::string &Error) {
-  std::vector<JsonRef> Parsed;
-  std::string ParseError;
-  if (JsonRef Root = parseJson(Text, ParseError)) {
-    Parsed.push_back(Root);
-  } else {
-    // Not one document — try JSON-lines (e.g. concatenated records).
-    std::istringstream In(Text);
-    std::string Line;
-    size_t LineNo = 0;
-    while (std::getline(In, Line)) {
-      ++LineNo;
-      if (Line.find_first_not_of(" \t\r") == std::string::npos)
-        continue;
-      std::string LineError;
-      JsonRef V = parseJson(Line, LineError);
-      if (!V) {
-        Error = "line " + std::to_string(LineNo) + ": " + LineError;
-        return false;
-      }
-      Parsed.push_back(V);
-    }
-    if (Parsed.empty()) {
-      Error = ParseError;
-      return false;
-    }
-  }
-
-  std::vector<JsonRef> Records;
-  for (const JsonRef &V : Parsed)
-    collectSlowlogRecords(V, Records);
-  if (Records.empty()) {
-    Error = "no slowlog records in input";
-    return false;
-  }
-
-  size_t Skipped = 0;
-  std::string LastConfig;
-  for (const JsonRef &R : Records) {
-    JsonRef Req = R->get("request");
-    if (!Req || Req->type() != JsonValue::Type::Object) {
-      // Records captured before request payloads were recorded (or
-      // hand-trimmed dumps) cannot be replayed; say so rather than
-      // silently shrinking the batch.
-      ++Skipped;
-      continue;
-    }
-    JsonRef Cfg = R->get("config");
-    if (Cfg && Cfg->type() == JsonValue::Type::Object) {
-      JsonRef Line = JsonValue::object();
-      Line->set("op", JsonValue::string("config"));
-      for (const char *Key :
-           {"optimize", "share_fixpoints", "fixpoint_strategy"}) {
-        if (JsonRef V = Cfg->get(Key); V && !V->isNull())
-          Line->set(Key, V);
-      }
-      std::string Dumped = Line->dump();
-      if (Dumped != LastConfig) {
-        BatchText += Dumped;
-        BatchText += '\n';
-        LastConfig = Dumped;
-      }
-    }
-    // The admitted request verbatim, minus fields only the server's
-    // admission queue interprets.
-    JsonRef Clean = JsonValue::object();
-    for (const auto &[Key, Val] : Req->members())
-      if (Key != "priority" && Key != "deadline_ms")
-        Clean->set(Key, Val);
-    BatchText += Clean->dump();
-    BatchText += '\n';
-  }
-  if (Skipped)
-    std::fprintf(stderr,
-                 "warning: skipped %zu record(s) without a request payload\n",
-                 Skipped);
-  if (BatchText.empty()) {
-    Error = "no replayable records (none carry a request payload)";
-    return false;
-  }
-  return true;
-}
-
 void report(const AnalysisResult &R, const char *YesMsg, const char *NoMsg) {
   std::printf("%s  (lean=%zu, %zu iterations, %.1f ms%s)\n",
               R.Holds ? YesMsg : NoMsg, R.Stats.LeanSize, R.Stats.Iterations,
@@ -307,21 +184,18 @@ int main(int argc, char **argv) {
     std::string MetricsFile;
     std::string OutFile;
     bool Stable = false;
-    bool HaveJobs = false;
-    size_t Jobs = 1;
+    long Jobs = -1; ///< unset
+    RequestConfig Config = Session.config();
+    std::string FlagError;
     for (int I = 2; I < argc; ++I) {
       std::string Arg = argv[I];
       if (Replay && Arg == "--out" && I + 1 < argc) {
         OutFile = argv[++I];
       } else if (Arg == "--jobs" && I + 1 < argc) {
-        char *End = nullptr;
-        long N = std::strtol(argv[++I], &End, 10);
-        if (N < 0 || End == argv[I] || *End != '\0') {
+        if (!parseIntegerFlag(argv[++I], 0, LONG_MAX, Jobs)) {
           std::fprintf(stderr, "error: --jobs needs a non-negative integer\n");
           return usage();
         }
-        Jobs = static_cast<size_t>(N);
-        HaveJobs = true;
       } else if (Arg == "--cache-file" && I + 1 < argc) {
         CacheFile = argv[++I];
       } else if (Arg == "--trace-file" && I + 1 < argc) {
@@ -330,20 +204,11 @@ int main(int argc, char **argv) {
         MetricsFile = argv[++I];
       } else if (Arg == "--stable") {
         Stable = true;
-      } else if (Arg == "--optimize") {
-        Session.setOptimize(true);
-      } else if (Arg == "--share-fixpoints") {
-        Session.setShareFixpoints(true);
-      } else if (Arg == "--fixpoint-strategy" && I + 1 < argc) {
-        FixpointStrategy S;
-        if (!parseFixpointStrategy(argv[++I], S)) {
-          std::fprintf(stderr,
-                       "error: --fixpoint-strategy needs one of bfs, "
-                       "chaining, saturation, auto (got %s)\n",
-                       argv[I]);
+      } else if (parseRequestConfigFlag(argc, argv, I, Config, FlagError)) {
+        if (!FlagError.empty()) {
+          std::fprintf(stderr, "error: %s\n", FlagError.c_str());
           return usage();
         }
-        Session.setFixpointStrategy(S);
       } else if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {
         std::fprintf(stderr, "error: unknown %s flag %s\n", Cmd.c_str(),
                      Arg.c_str());
@@ -369,7 +234,14 @@ int main(int argc, char **argv) {
         return 1;
       }
       std::string Error;
-      if (!slowlogToBatch(Text, ReplayBatch, Error)) {
+      size_t Skipped = 0;
+      bool Ok = slowlogToBatch(Text, ReplayBatch, Skipped, Error);
+      if (Skipped)
+        std::fprintf(
+            stderr,
+            "warning: skipped %zu record(s) without a request payload\n",
+            Skipped);
+      if (!Ok) {
         std::fprintf(stderr, "error: %s\n", Error.c_str());
         return 1;
       }
@@ -383,8 +255,9 @@ int main(int argc, char **argv) {
         return 0;
       }
     }
-    if (HaveJobs)
-      Session.setJobs(Jobs);
+    Session.setConfig(Config);
+    if (Jobs >= 0)
+      Session.setJobs(static_cast<size_t>(Jobs));
     if (!CacheFile.empty()) {
       std::string Error;
       // A missing cache file just means a cold start; any other load

@@ -29,6 +29,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -74,6 +75,7 @@ int usage() {
       "  --stable        default connections to the deterministic\n"
       "                  response encoding (clients can override with\n"
       "                  {\"op\":\"config\",\"stable\":...})\n"
+      "%s"
       "  --port-file F   write the bound TCP port to F (for scripts\n"
       "                  using --tcp 0)\n"
       "  --log-file F    append the structured JSON-lines event log to F\n"
@@ -87,7 +89,8 @@ int usage() {
       "and \"deadline_ms\", config keys \"ns\"/\"stable\", and the ops\n"
       "metrics, stats, status, slowlog, log, ping, drain. HTTP GETs on\n"
       "either socket answer /metrics (Prometheus text), /healthz,\n"
-      "/statusz, /slowlog and /logz with keep-alive.\n");
+      "/statusz, /slowlog and /logz with keep-alive.\n",
+      RequestConfigFlagsUsage);
   return 2;
 }
 
@@ -101,13 +104,15 @@ int runClient(int argc, char **argv) {
     if (Arg == "--tcp" && I + 1 < argc) {
       std::string HostPort = argv[++I];
       size_t Colon = HostPort.rfind(':');
-      if (Colon == std::string::npos) {
-        TcpHost = "127.0.0.1";
-        TcpPort = std::atoi(HostPort.c_str());
-      } else {
-        TcpHost = HostPort.substr(0, Colon);
-        TcpPort = std::atoi(HostPort.c_str() + Colon + 1);
+      TcpHost = Colon == std::string::npos ? "127.0.0.1"
+                                           : HostPort.substr(0, Colon);
+      long Port;
+      if (!parseIntegerFlag(HostPort.c_str() + (Colon + 1), 0, 65535, Port)) {
+        std::fprintf(stderr, "error: --tcp needs [HOST:]PORT with PORT in "
+                             "0..65535\n");
+        return usage();
       }
+      TcpPort = static_cast<int>(Port);
     } else if (Arg == "--unix" && I + 1 < argc) {
       UnixPath = argv[++I];
     } else if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {
@@ -199,29 +204,32 @@ int main(int argc, char **argv) {
     return runClient(argc, argv);
 
   ServerOptions Opts;
+  RequestConfig Config;
+  std::string FlagError;
   std::string PortFile;
   std::string LogFile;
   LogLevel MinLevel = LogLevel::Info;
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
+    long N;
     if (Arg == "--tcp" && I + 1 < argc) {
-      Opts.TcpPort = std::atoi(argv[++I]);
+      if (!parseIntegerFlag(argv[++I], 0, 65535, N)) {
+        std::fprintf(stderr, "error: --tcp needs a port in 0..65535\n");
+        return usage();
+      }
+      Opts.TcpPort = static_cast<int>(N);
     } else if (Arg == "--unix" && I + 1 < argc) {
       Opts.UnixPath = argv[++I];
     } else if (Arg == "--jobs" && I + 1 < argc) {
-      char *End = nullptr;
-      long N = std::strtol(argv[++I], &End, 10);
-      if (N < 0 || End == argv[I] || *End != '\0') {
+      if (!parseIntegerFlag(argv[++I], 0, LONG_MAX, N)) {
         std::fprintf(stderr, "error: --jobs needs a non-negative integer\n");
         return usage();
       }
       Opts.Session.Jobs = static_cast<size_t>(N);
     } else if (Arg == "--queue-limit" && I + 1 < argc) {
-      char *End = nullptr;
-      long N = std::strtol(argv[++I], &End, 10);
-      if (N < 1 || End == argv[I] || *End != '\0') {
-        // 0 would make admit() reject every request as "overloaded" —
-        // a silently useless server — so demand a positive bound.
+      // 0 would make admit() reject every request as "overloaded" — a
+      // silently useless server — so demand a positive bound.
+      if (!parseIntegerFlag(argv[++I], 1, LONG_MAX, N)) {
         std::fprintf(stderr, "error: --queue-limit needs a positive integer\n");
         return usage();
       }
@@ -230,20 +238,11 @@ int main(int argc, char **argv) {
       Opts.CacheFile = argv[++I];
     } else if (Arg == "--stable") {
       Opts.DefaultStable = true;
-    } else if (Arg == "--optimize") {
-      Opts.Session.Optimize = true;
-    } else if (Arg == "--share-fixpoints") {
-      Opts.Session.ShareFixpoints = true;
-    } else if (Arg == "--fixpoint-strategy" && I + 1 < argc) {
-      FixpointStrategy S;
-      if (!parseFixpointStrategy(argv[++I], S)) {
-        std::fprintf(stderr,
-                     "error: --fixpoint-strategy needs one of bfs, chaining, "
-                     "saturation, auto (got %s)\n",
-                     argv[I]);
+    } else if (parseRequestConfigFlag(argc, argv, I, Config, FlagError)) {
+      if (!FlagError.empty()) {
+        std::fprintf(stderr, "error: %s\n", FlagError.c_str());
         return usage();
       }
-      Opts.Session.Solver.Strategy = S;
     } else if (Arg == "--port-file" && I + 1 < argc) {
       PortFile = argv[++I];
     } else if (Arg == "--log-file" && I + 1 < argc) {
@@ -265,9 +264,7 @@ int main(int argc, char **argv) {
       }
       Opts.SlowThresholdMs = Ms;
     } else if (Arg == "--slowlog-capacity" && I + 1 < argc) {
-      char *End = nullptr;
-      long N = std::strtol(argv[++I], &End, 10);
-      if (N < 1 || End == argv[I] || *End != '\0') {
+      if (!parseIntegerFlag(argv[++I], 1, LONG_MAX, N)) {
         std::fprintf(stderr,
                      "error: --slowlog-capacity needs a positive integer\n");
         return usage();
@@ -280,6 +277,7 @@ int main(int argc, char **argv) {
   }
   if (Opts.TcpPort < 0 && Opts.UnixPath.empty())
     return usage();
+  Opts.Session.setConfig(Config);
 
   // Structured event log: every lifecycle/admission/slow-query message
   // of the daemon is one JSON line here (obs/Log.h), replacing ad-hoc

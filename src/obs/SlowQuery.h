@@ -26,6 +26,7 @@
 #ifndef XSA_OBS_SLOWQUERY_H
 #define XSA_OBS_SLOWQUERY_H
 
+#include "service/Config.h"
 #include "service/Json.h"
 
 #include <atomic>
@@ -61,9 +62,8 @@ struct SlowQueryRecord {
   std::string RequestJson;
   /// Effective per-job config snapshot (namespace overrides applied):
   /// what `xsolve replay` turns into the batch's config preamble.
-  bool Optimize = false;
-  bool Share = false;
-  std::string Strategy; ///< fixpointStrategyName of the effective strategy
+  /// Serialized with RequestJson, which it belongs to.
+  RequestConfig Config;
 };
 
 class SlowQueryLog {
@@ -114,6 +114,16 @@ private:
   std::atomic<double> ThresholdMsA{250};
   std::atomic<uint64_t> Recorded{0};
 };
+
+/// What `xsolve replay` runs: turns slowlog JSON (a record, a /slowlog
+/// dump, an array, or JSON-lines of records) into batch text — per
+/// record with a "request", a config preamble rebuilt from its "config"
+/// by readRequestConfig (unknown keys dropped; consecutive duplicates
+/// elided), then the request minus server-only fields. \p Skipped counts
+/// records without a request. False with \p Error on unparseable input,
+/// no replayable record, or an invalid recorded config value.
+bool slowlogToBatch(const std::string &Text, std::string &BatchText,
+                    size_t &Skipped, std::string &Error);
 
 } // namespace xsa
 

@@ -162,7 +162,8 @@ Histogram &queueWaitHistogram() {
 
 } // namespace
 
-NamespaceState::NamespaceState(std::string N) : Name(std::move(N)) {
+NamespaceState::NamespaceState(std::string N, const RequestConfig &C)
+    : Name(std::move(N)), Config(C) {
   RequestsMetric = &MetricRegistry::global().counter(
       labeledMetricName("xsa_server_requests_total", "ns", Name),
       "Analysis requests admitted, by namespace", /*Volatile=*/true);
@@ -227,12 +228,27 @@ struct XsolvedServer::Job {
   /// any slowlog capture. Generated ids never reach stable output.
   std::string Rid;
   bool Stable = false;
-  bool Optimize = false;
-  bool Share = false;
-  FixpointStrategy Strategy = FixpointStrategy::Bfs;
+  RequestConfig Config;
   /// The admitted request line dumped back to JSON, carried so a slowlog
   /// capture can reproduce the request verbatim (`xsolve replay`).
   std::string RequestJson;
+
+  /// This job's slowlog capture: identity, timing and reproduction
+  /// payload; the caller adds the outcome and the stage breakdown.
+  SlowQueryRecord slowRecord(double QueueWaitMs, double TotalMs) const {
+    SlowQueryRecord SR;
+    SR.RequestId = Rid;
+    SR.ClientId = Req.Id;
+    SR.Ns = Ns->Name;
+    SR.Op = requestKindName(Req.Kind);
+    SR.Priority = Priority;
+    SR.ConnId = Conn->Id;
+    SR.QueueWaitMs = QueueWaitMs;
+    SR.TotalMs = TotalMs;
+    SR.RequestJson = RequestJson;
+    SR.Config = Config;
+    return SR;
+  }
 };
 
 struct XsolvedServer::JobQueue {
@@ -505,7 +521,7 @@ XsolvedServer::namespaceState(const std::string &Name) {
   auto It = Namespaces.find(Name);
   if (It != Namespaces.end())
     return It->second;
-  auto Ns = std::make_shared<NamespaceState>(Name);
+  auto Ns = std::make_shared<NamespaceState>(Name, Opts.Session.config());
   Namespaces.emplace(Name, Ns);
   return Ns;
 }
@@ -844,113 +860,46 @@ void XsolvedServer::handleLine(Connection &Conn, const std::string &Line,
 
 void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
                                  const JsonValue &Obj) {
+  // Check the whole line, then commit it: a refused line changes nothing.
   std::string Id = Obj.str("id");
-  auto Reject = [&](const std::string &Code, const std::string &Message,
-                    const std::string &Key, const std::string &Value) {
-    JsonRef O = JsonValue::object();
-    if (!Id.empty())
-      O->set("id", JsonValue::string(Id));
-    O->set("ok", JsonValue::boolean(false));
-    JsonRef E = errorObjectJson(Code, Message);
-    if (!Key.empty())
-      E->set("key", JsonValue::string(Key));
-    if (!Value.empty())
-      E->set("value", JsonValue::string(Value));
-    O->set("error", E);
-    Conn.Ns->Errors.fetch_add(1, std::memory_order_relaxed);
-    deliver(Conn, Seq, O->dump());
+  RequestConfig Checked;
+  ConfigRejection Rej;
+  auto Refuse = [&Rej](const char *Key, std::string Value, const char *Why) {
+    Rej = {"invalid_config_value", Key, std::move(Value), Why};
+    return false;
   };
-
-  static constexpr const char *KnownKeys[] = {
-      "op", "id", "ns", "stable", "optimize", "share_fixpoints",
-      "fixpoint_strategy"};
-  for (const auto &[K, V] : Obj.members()) {
-    if (K == "jobs") {
-      Reject("invalid_config_value",
-             "jobs is fixed at server start (the worker pool is shared by "
-             "every client)",
-             "jobs", "");
-      return;
-    }
-    const std::string &Key = K;
-    if (std::find_if(std::begin(KnownKeys), std::end(KnownKeys),
-                     [&Key](const char *Known) { return Key == Known; }) ==
-        std::end(KnownKeys)) {
-      Reject("unknown_config_key", "unknown config key '" + K + "'", K, "");
-      return;
-    }
-  }
-
   JsonRef NsName = Obj.get("ns");
-  if (!NsName->isNull()) {
-    if (NsName->type() != JsonValue::Type::String ||
-        NsName->asString().empty()) {
-      Reject("invalid_config_value", "ns must be a non-empty string", "ns",
-             NsName->type() == JsonValue::Type::String ? NsName->asString()
-                                                       : NsName->dump());
-      return;
-    }
-    Conn.Ns = namespaceState(NsName->asString());
-  }
   JsonRef Stable = Obj.get("stable");
-  if (!Stable->isNull()) {
-    if (Stable->type() != JsonValue::Type::Bool) {
-      Reject("invalid_config_value", "stable must be a boolean", "stable",
-             Stable->dump());
-      return;
-    }
+  bool Valid =
+      readRequestConfig(Obj, {"ns", "stable", "jobs"}, Checked, Rej) &&
+      (!Obj.has("jobs") ||
+       Refuse("jobs", "",
+              "jobs is fixed at server start (the worker pool is shared by "
+              "every client)")) &&
+      (NsName->isNull() || !NsName->asString().empty() ||
+       Refuse("ns",
+              NsName->type() == JsonValue::Type::String ? ""
+                                                        : NsName->dump(),
+              "ns must be a non-empty string")) &&
+      (Stable->isNull() || Stable->type() == JsonValue::Type::Bool ||
+       Refuse("stable", Stable->dump(), "stable must be a boolean"));
+  if (!Valid) {
+    Conn.Ns->Errors.fetch_add(1, std::memory_order_relaxed);
+    deliver(Conn, Seq, Rej.toJson(Id)->dump());
+    return;
+  }
+
+  if (!NsName->isNull())
+    Conn.Ns = namespaceState(NsName->asString());
+  if (!Stable->isNull())
     Conn.Stable = Stable->asBool();
-  }
-  JsonRef Optimize = Obj.get("optimize");
-  if (!Optimize->isNull() && Optimize->type() != JsonValue::Type::Bool) {
-    Reject("invalid_config_value", "optimize must be a boolean", "optimize",
-           Optimize->dump());
-    return;
-  }
-  JsonRef Share = Obj.get("share_fixpoints");
-  if (!Share->isNull() && Share->type() != JsonValue::Type::Bool) {
-    Reject("invalid_config_value", "share_fixpoints must be a boolean",
-           "share_fixpoints", Share->dump());
-    return;
-  }
-  JsonRef Strat = Obj.get("fixpoint_strategy");
-  FixpointStrategy StratVal = FixpointStrategy::Bfs;
-  bool HaveStrat = false;
-  if (!Strat->isNull()) {
-    if (Strat->type() != JsonValue::Type::String ||
-        !parseFixpointStrategy(Strat->asString(), StratVal)) {
-      std::string Given = Strat->type() == JsonValue::Type::String
-                              ? Strat->asString()
-                              : Strat->dump();
-      Reject("invalid_config_value",
-             "invalid fixpoint_strategy '" + Given +
-                 "' (expected bfs, chaining, saturation or auto)",
-             "fixpoint_strategy", Given);
-      return;
-    }
-    HaveStrat = true;
-  }
   NamespaceState &Ns = *Conn.Ns;
-  bool EffOptimize, EffShare;
-  FixpointStrategy EffStrategy;
+  RequestConfig Effective;
   {
+    // Applies the line (checked above) to the target namespace.
     std::lock_guard<std::mutex> L(Ns.Mu);
-    if (!Optimize->isNull()) {
-      Ns.HaveOptimize = true;
-      Ns.Optimize = Optimize->asBool();
-    }
-    if (!Share->isNull()) {
-      Ns.HaveShare = true;
-      Ns.Share = Share->asBool();
-    }
-    if (HaveStrat) {
-      Ns.HaveStrategy = true;
-      Ns.Strategy = StratVal;
-    }
-    EffOptimize = Ns.HaveOptimize ? Ns.Optimize : Opts.Session.Optimize;
-    EffShare = Ns.HaveShare ? Ns.Share : Opts.Session.ShareFixpoints;
-    EffStrategy =
-        Ns.HaveStrategy ? Ns.Strategy : Opts.Session.Solver.Strategy;
+    readRequestConfig(Obj, {"ns", "stable", "jobs"}, Ns.Config, Rej);
+    Effective = Ns.Config;
   }
 
   JsonRef O = JsonValue::object();
@@ -960,10 +909,7 @@ void XsolvedServer::handleConfig(Connection &Conn, uint64_t Seq,
   O->set("ns", JsonValue::string(Ns.Name));
   O->set("stable", JsonValue::boolean(Conn.Stable));
   O->set("jobs", JsonValue::number(static_cast<double>(Sess->jobs())));
-  O->set("optimize", JsonValue::boolean(EffOptimize));
-  O->set("share_fixpoints", JsonValue::boolean(EffShare));
-  O->set("fixpoint_strategy",
-         JsonValue::string(fixpointStrategyName(EffStrategy)));
+  echoRequestConfig(Effective, *O);
   deliver(Conn, Seq, O->dump());
 }
 
@@ -1184,12 +1130,7 @@ void XsolvedServer::admit(Connection &Conn, uint64_t Seq, const JsonValue &Obj,
         J.EnqueueNs + static_cast<uint64_t>(Deadline->asNumber() * 1e6);
   {
     std::lock_guard<std::mutex> L(Conn.Ns->Mu);
-    J.Optimize =
-        Conn.Ns->HaveOptimize ? Conn.Ns->Optimize : Opts.Session.Optimize;
-    J.Share =
-        Conn.Ns->HaveShare ? Conn.Ns->Share : Opts.Session.ShareFixpoints;
-    J.Strategy = Conn.Ns->HaveStrategy ? Conn.Ns->Strategy
-                                       : Opts.Session.Solver.Strategy;
+    J.Config = Conn.Ns->Config;
   }
 
   // Find this connection's shared_ptr (deliver from the dispatcher needs
@@ -1293,22 +1234,10 @@ void XsolvedServer::dispatchLoop() {
       // A deadline miss always qualifies for the slowlog (shouldRecord
       // treats any non-Ok outcome as a tail event); the request never
       // ran, so the breakdown is queue wait alone.
-      SlowQueryRecord SR;
-      SR.RequestId = J.Rid;
-      SR.ClientId = J.Req.Id;
-      SR.Ns = J.Ns->Name;
-      SR.Op = requestKindName(J.Req.Kind);
+      SlowQueryRecord SR = J.slowRecord(WaitMs, WaitMs);
       SR.Ok = false;
       SR.Code = "deadline_exceeded";
-      SR.Priority = J.Priority;
-      SR.ConnId = J.Conn->Id;
-      SR.QueueWaitMs = WaitMs;
-      SR.TotalMs = WaitMs;
       SR.StageMs.emplace_back("server.queue_wait", WaitMs);
-      SR.RequestJson = J.RequestJson;
-      SR.Optimize = J.Optimize;
-      SR.Share = J.Share;
-      SR.Strategy = fixpointStrategyName(J.Strategy);
       J.Ns->SlowQueries.fetch_add(1, std::memory_order_relaxed);
       SlowQueryLog::global().record(std::move(SR));
       // J.Stable is the admission-time snapshot: the dispatcher must
@@ -1336,12 +1265,10 @@ void XsolvedServer::dispatchBatch(std::vector<Job> &Batch) {
   std::vector<AnalysisResponse> Resps(Batch.size());
   Sess->pool().parallelFor(Batch.size(), [&](size_t I, size_t Worker) {
     AnalysisContext &Ctx = Sess->workerContext(Worker);
-    // Apply the namespace-config snapshot taken at admission. The
-    // setters early-out when the value is unchanged, so a homogeneous
+    // Apply the namespace-config snapshot taken at admission. setConfig
+    // rebuilds nothing when the strategy is unchanged, so a homogeneous
     // stream costs three compares per request.
-    Ctx.setOptimizePrePass(Batch[I].Optimize);
-    Ctx.setShareFixpoints(Batch[I].Share);
-    Ctx.setFixpointStrategy(Batch[I].Strategy);
+    Ctx.setConfig(Batch[I].Config);
     Resps[I] = runRequest(Ctx, Batch[I].Req);
   });
   InFlight.fetch_sub(Batch.size(), std::memory_order_relaxed);
@@ -1372,24 +1299,12 @@ void XsolvedServer::dispatchBatch(std::vector<Job> &Batch) {
       }
     double TotalMs = QueueWaitMs[I] + ExecMs;
     if (Slow.shouldRecord(TotalMs, R.Ok)) {
-      SlowQueryRecord SR;
-      SR.RequestId = J.Rid;
-      SR.ClientId = J.Req.Id;
-      SR.Ns = J.Ns->Name;
-      SR.Op = requestKindName(J.Req.Kind);
+      SlowQueryRecord SR = J.slowRecord(QueueWaitMs[I], TotalMs);
       SR.Ok = R.Ok;
       SR.Code = R.ErrorCode;
-      SR.Priority = J.Priority;
-      SR.ConnId = J.Conn->Id;
-      SR.QueueWaitMs = QueueWaitMs[I];
-      SR.TotalMs = TotalMs;
       SR.FromCache = R.FromCache;
       SR.StageMs = R.StageMs;
       SR.StageMs.emplace_back("server.queue_wait", QueueWaitMs[I]);
-      SR.RequestJson = J.RequestJson;
-      SR.Optimize = J.Optimize;
-      SR.Share = J.Share;
-      SR.Strategy = fixpointStrategyName(J.Strategy);
       J.Ns->SlowQueries.fetch_add(1, std::memory_order_relaxed);
       Slow.record(std::move(SR));
       // Link the latency histogram back to this capture.

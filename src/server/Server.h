@@ -37,11 +37,9 @@
 ///
 /// Tenancy. A connection starts in the "default" namespace and may
 /// switch with {"op":"config","ns":"team-a"}. A namespace carries its
-/// own config overrides (optimize, share_fixpoints, fixpoint_strategy)
-/// and its own request statistics; the caches underneath stay shared —
-/// namespaces isolate *configuration and accounting*, not results,
-/// which is the point of a shared-session server (reads through a
-/// shared cache cannot change any verdict; see DESIGN.md).
+/// own RequestConfig and request statistics; the caches underneath stay
+/// shared — namespaces isolate configuration and accounting, not
+/// results (a shared cache cannot change any verdict; see DESIGN.md).
 ///
 /// Shutdown. SIGTERM (wired in examples/xsolved.cpp) or a client
 /// {"op":"drain"} stops accepting connections, answers further analysis
@@ -123,20 +121,17 @@ struct ServerOptions {
   bool DefaultStable = false;
 };
 
-/// Per-namespace configuration overrides and accounting. Config fields
-/// are guarded by Mu and snapshotted into each job at admission;
-/// counters are relaxed atomics (independent tallies, read after the
-/// dispatcher's barrier or at export time).
+/// Per-namespace configuration and accounting. Config starts as the
+/// server default, is guarded by Mu and is snapshotted into each job at
+/// admission; counters are relaxed atomics (independent tallies, read
+/// after the dispatcher's barrier or at export time).
 struct NamespaceState {
-  explicit NamespaceState(std::string Name);
+  NamespaceState(std::string Name, const RequestConfig &Config);
 
   const std::string Name;
 
   std::mutex Mu;
-  bool HaveOptimize = false, Optimize = false;
-  bool HaveShare = false, Share = false;
-  bool HaveStrategy = false;
-  FixpointStrategy Strategy = FixpointStrategy::Bfs;
+  RequestConfig Config;
 
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> Errors{0};

@@ -10,7 +10,6 @@
 #include "logic/Parser.h"
 #include "tree/Xml.h"
 
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <istream>
@@ -199,7 +198,7 @@ AnalysisResponse runRequestImpl(AnalysisContext &Ctx,
   // cache entries.
   auto PrePass = [&](ExprRef E, const std::string &Query,
                      const std::string &Dtd) {
-    if (!Ctx.optimizePrePass())
+    if (!Ctx.config().Optimize)
       return E;
     // Only the rewritten AST matters here, so a seeded (already-proved)
     // form is taken without re-deriving the rewrite.
@@ -693,88 +692,30 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
       It.Resp.ErrorByte = static_cast<long>(ErrByte);
       SegItems.push_back(std::move(It));
     } else if (Obj->str("op") == "config") {
-      // Control line: answer in order, apply to everything after it.
-      // Accepts 'jobs' (worker count), 'optimize' (pre-pass switch),
-      // 'share_fixpoints' (cross-request fixpoint sharing),
-      // and/or 'fixpoint_strategy' (bfs/chaining/saturation/auto); at
-      // least one must be present.
+      // Control line: 'jobs' and/or the RequestConfigKeys, checked as a
+      // whole, then applied to everything after it.
       Flush();
-      AnalysisResponse Resp;
-      Resp.Id = Obj->str("id");
-      // Unknown keys are rejected with a structured error rather than
-      // silently ignored — a misspelled switch ("share_fixpoint") must
-      // not read as an applied one.
-      static constexpr const char *KnownKeys[] = {"op", "id", "jobs",
-                                                  "optimize",
-                                                  "share_fixpoints",
-                                                  "fixpoint_strategy"};
-      std::string UnknownKey;
-      for (const auto &[K, V] : Obj->members())
-        if (std::find_if(std::begin(KnownKeys), std::end(KnownKeys),
-                         [&](const char *Known) { return K == Known; }) ==
-            std::end(KnownKeys)) {
-          UnknownKey = K;
-          break;
-        }
-      if (!UnknownKey.empty()) {
-        JsonRef O = JsonValue::object();
-        if (!Resp.Id.empty())
-          O->set("id", JsonValue::string(Resp.Id));
-        O->set("ok", JsonValue::boolean(false));
-        JsonRef E = errorObjectJson(
-            "unknown_config_key", "unknown config key '" + UnknownKey + "'",
-            LineNo);
-        E->set("key", JsonValue::string(UnknownKey));
-        O->set("error", E);
-        ++Errors;
-        Out << O->dump() << "\n";
-        continue;
-      }
+      std::string Id = Obj->str("id");
+      RequestConfig Config = Session.config();
+      ConfigRejection Rej;
       JsonRef Jobs = Obj->get("jobs");
-      JsonRef Optimize = Obj->get("optimize");
-      JsonRef Share = Obj->get("share_fixpoints");
-      JsonRef Strat = Obj->get("fixpoint_strategy");
-      // An invalid strategy value gets the same structured rejection as
-      // an unknown key: a typo ("chainning") must not silently leave
-      // the previous strategy in force.
-      FixpointStrategy StratVal = FixpointStrategy::Bfs;
-      bool HaveStrat = false;
-      if (!Strat->isNull()) {
-        if (Strat->type() != JsonValue::Type::String ||
-            !parseFixpointStrategy(Strat->asString(), StratVal)) {
-          std::string Given = Strat->type() == JsonValue::Type::String
-                                  ? Strat->asString()
-                                  : Strat->dump();
-          JsonRef O = JsonValue::object();
-          if (!Resp.Id.empty())
-            O->set("id", JsonValue::string(Resp.Id));
-          O->set("ok", JsonValue::boolean(false));
-          JsonRef E = errorObjectJson(
-              "invalid_config_value",
-              "invalid fixpoint_strategy '" + Given +
-                  "' (expected bfs, chaining, saturation or auto)",
-              LineNo);
-          E->set("key", JsonValue::string("fixpoint_strategy"));
-          E->set("value", JsonValue::string(Given));
-          O->set("error", E);
-          ++Errors;
-          Out << O->dump() << "\n";
-          continue;
-        }
-        HaveStrat = true;
+      bool Valid = readRequestConfig(*Obj, {"jobs"}, Config, Rej);
+      double N = Jobs->asNumber(-1);
+      if (Valid && !Jobs->isNull() &&
+          (N < 0 || N != static_cast<double>(static_cast<size_t>(N)))) {
+        Rej = {"invalid_config_value", "jobs", Jobs->dump(),
+               "jobs must be a non-negative integer"};
+        Valid = false;
       }
-      bool BadJobs = !Jobs->isNull() &&
-                     (Jobs->type() != JsonValue::Type::Number ||
-                      Jobs->asNumber() < 0 ||
-                      Jobs->asNumber() != static_cast<double>(static_cast<size_t>(
-                                              Jobs->asNumber())));
-      bool BadOptimize =
-          !Optimize->isNull() && Optimize->type() != JsonValue::Type::Bool;
-      bool BadShare =
-          !Share->isNull() && Share->type() != JsonValue::Type::Bool;
-      if (BadJobs || BadOptimize || BadShare ||
-          (Jobs->isNull() && Optimize->isNull() && Share->isNull() &&
-           !HaveStrat)) {
+      bool Empty = Jobs->isNull();
+      for (const char *Key : RequestConfigKeys)
+        Empty = Empty && Obj->get(Key)->isNull();
+      if (!Valid) {
+        ++Errors;
+        Out << Rej.toJson(Id, LineNo)->dump() << "\n";
+      } else if (Empty) {
+        AnalysisResponse Resp;
+        Resp.Id = Id;
         Resp.Ok = false;
         Resp.ErrorLine = LineNo;
         Resp.Error = "config needs 'jobs' (a non-negative integer), "
@@ -783,24 +724,14 @@ size_t xsa::runBatchJsonLines(AnalysisSession &Session, std::istream &In,
         Emit(Resp);
       } else {
         if (!Jobs->isNull())
-          Session.setJobs(static_cast<size_t>(Jobs->asNumber()));
-        if (!Optimize->isNull())
-          Session.setOptimize(Optimize->asBool());
-        if (!Share->isNull())
-          Session.setShareFixpoints(Share->asBool());
-        if (HaveStrat)
-          Session.setFixpointStrategy(StratVal);
+          Session.setJobs(static_cast<size_t>(N));
+        Session.setConfig(Config);
         JsonRef O = JsonValue::object();
-        if (!Resp.Id.empty())
-          O->set("id", JsonValue::string(Resp.Id));
+        if (!Id.empty())
+          O->set("id", JsonValue::string(Id));
         O->set("ok", JsonValue::boolean(true));
         O->set("jobs", JsonValue::number(static_cast<double>(Session.jobs())));
-        O->set("optimize", JsonValue::boolean(Session.optimizeEnabled()));
-        O->set("share_fixpoints",
-               JsonValue::boolean(Session.shareFixpointsEnabled()));
-        O->set("fixpoint_strategy",
-               JsonValue::string(
-                   fixpointStrategyName(Session.fixpointStrategy())));
+        echoRequestConfig(Session.config(), *O);
         ++Answered;
         Out << O->dump() << "\n";
       }

@@ -96,19 +96,17 @@ SolverResult AnalysisContext::satisfiable(Formula Psi) {
   return RawSolver->solve(Psi);
 }
 
-bool AnalysisContext::shareFixpoints() const {
-  return Fixpoints && Fixpoints->On;
+RequestConfig AnalysisContext::config() const {
+  return {PrePass, Fixpoints && Fixpoints->On, Opts.Strategy};
 }
 
-void AnalysisContext::setShareFixpoints(bool On) {
+void AnalysisContext::setConfig(const RequestConfig &C) {
+  PrePass = C.Optimize;
   if (Fixpoints)
-    Fixpoints->On = On;
-}
-
-void AnalysisContext::setFixpointStrategy(FixpointStrategy S) {
-  if (Opts.Strategy == S)
+    Fixpoints->On = C.ShareFixpoints;
+  if (Opts.Strategy == C.Strategy)
     return;
-  Opts.Strategy = S;
+  Opts.Strategy = C.Strategy;
   // The Analyzer and raw solver copy Opts at construction; rebuild them
   // so the new strategy takes effect. The adapters, memos and shared
   // fronts all live in the context and stay wired through the pointers

@@ -40,6 +40,7 @@
 #include "analysis/Problems.h"
 #include "rewrite/Rewriter.h"
 #include "service/Cache.h"
+#include "service/Config.h"
 #include "service/FixpointStore.h"
 #include "xtype/Dtd.h"
 
@@ -164,28 +165,14 @@ public:
   optimized(const std::string &XPath, const std::string &Dtd,
             bool AllowSeed = false);
 
-  /// When true, runRequest rewrites every query through optimized()
-  /// before analysis, so near-duplicate queries canonicalize to more
-  /// cache-sharable forms (SessionOptions::Optimize).
-  bool optimizePrePass() const { return PrePass; }
-  void setOptimizePrePass(bool On) { PrePass = On; }
-
-  /// Cross-request fixpoint sharing (SessionOptions::ShareFixpoints):
-  /// when on — and a SharedFixpointStore was wired in — every solver run
-  /// seeds its fixpoint from the store and publishes back. Off by
-  /// default; toggling is not thread-safe against a running batch.
-  bool shareFixpoints() const;
-  void setShareFixpoints(bool On);
-
-  /// Fixpoint scheduling strategy (SolverOptions::Strategy; see
-  /// solver/BddSolver.h). Auto resolves per lean through the shared
-  /// StrategyChoiceStore when one was wired in. The Analyzer and the
-  /// raw solver copy their options at construction, so changing the
-  /// strategy rebuilds both — cheap (the memos and shared fronts live
-  /// in the context and survive), but like the other toggles not
-  /// thread-safe against a running batch.
-  FixpointStrategy fixpointStrategy() const { return Opts.Strategy; }
-  void setFixpointStrategy(FixpointStrategy S);
+  /// The request configuration this context runs under (Optimize makes
+  /// runRequest rewrite queries through optimized(); ShareFixpoints reads
+  /// false unless a SharedFixpointStore was wired in). setConfig rebuilds
+  /// the Analyzer and raw solver only when the strategy changes, so an
+  /// unchanged per-request snapshot costs three compares. Not thread-safe
+  /// against a running batch.
+  RequestConfig config() const;
+  void setConfig(const RequestConfig &C);
 
 private:
   /// Bridges the solver's pointer-keyed ResultCache interface to the

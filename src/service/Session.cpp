@@ -82,33 +82,18 @@ AnalysisSession::AnalysisSession(SessionOptions SOpts)
       Main(SOpts.Solver, &Cache, &Counters, &Fixpoints, &OptSeeds,
            &StratChoices) {
   Opts.Jobs = resolveJobs(Opts.Jobs);
-  Main.setOptimizePrePass(Opts.Optimize);
-  Main.setShareFixpoints(Opts.ShareFixpoints);
+  Main.setConfig(Opts.config());
 }
 
 AnalysisSession::AnalysisSession(SolverOptions Opts, size_t CacheCapacity)
     : AnalysisSession(SessionOptions{Opts, CacheCapacity,
                                      /*CacheShards=*/8, /*Jobs=*/1}) {}
 
-void AnalysisSession::setOptimize(bool On) {
-  Opts.Optimize = On;
-  Main.setOptimizePrePass(On);
+void AnalysisSession::setConfig(const RequestConfig &C) {
+  Opts.setConfig(C);
+  Main.setConfig(C);
   for (auto &W : Workers)
-    W->setOptimizePrePass(On);
-}
-
-void AnalysisSession::setShareFixpoints(bool On) {
-  Opts.ShareFixpoints = On;
-  Main.setShareFixpoints(On);
-  for (auto &W : Workers)
-    W->setShareFixpoints(On);
-}
-
-void AnalysisSession::setFixpointStrategy(FixpointStrategy S) {
-  Opts.Solver.Strategy = S;
-  Main.setFixpointStrategy(S);
-  for (auto &W : Workers)
-    W->setFixpointStrategy(S);
+    W->setConfig(C);
 }
 
 AnalysisResult AnalysisSession::emptiness(const ExprRef &E, Formula Chi) {
@@ -177,8 +162,7 @@ WorkerPool &AnalysisSession::pool() {
     Workers.push_back(std::make_unique<AnalysisContext>(
         Opts.Solver, &Cache, &Counters, &Fixpoints, &OptSeeds,
         &StratChoices));
-    Workers.back()->setOptimizePrePass(Opts.Optimize);
-    Workers.back()->setShareFixpoints(Opts.ShareFixpoints);
+    Workers.back()->setConfig(Opts.config());
   }
   return *Pool;
 }

@@ -37,6 +37,7 @@
 
 #include "analysis/Problems.h"
 #include "service/Cache.h"
+#include "service/Config.h"
 #include "service/Context.h"
 #include "service/FixpointStore.h"
 #include "support/WorkerPool.h"
@@ -111,6 +112,17 @@ struct SessionOptions {
   /// Entry budget of the fixpoint store (entries, not bytes; 0 disables
   /// it even when ShareFixpoints is requested).
   size_t FixpointCapacity = 256;
+
+  /// Optimize, ShareFixpoints and Solver.Strategy viewed as the one
+  /// per-request value (service/Config.h); those fields stay its home.
+  RequestConfig config() const {
+    return {Optimize, ShareFixpoints, Solver.Strategy};
+  }
+  void setConfig(const RequestConfig &C) {
+    Optimize = C.Optimize;
+    ShareFixpoints = C.ShareFixpoints;
+    Solver.Strategy = C.Strategy;
+  }
 };
 
 class AnalysisSession {
@@ -176,21 +188,10 @@ public:
   /// a running batch.
   void setJobs(size_t Jobs);
 
-  /// The optimize pre-pass switch (SessionOptions::Optimize), applied
-  /// to every context. Not thread-safe against a running batch.
-  bool optimizeEnabled() const { return Opts.Optimize; }
-  void setOptimize(bool On);
-
-  /// The fixpoint-sharing switch (SessionOptions::ShareFixpoints),
-  /// applied to every context. Not thread-safe against a running batch.
-  bool shareFixpointsEnabled() const { return Opts.ShareFixpoints; }
-  void setShareFixpoints(bool On);
-
-  /// The fixpoint scheduling strategy (SolverOptions::Strategy), applied
-  /// to every context; Auto resolves per lean through the shared
-  /// StrategyChoiceStore. Not thread-safe against a running batch.
-  FixpointStrategy fixpointStrategy() const { return Opts.Solver.Strategy; }
-  void setFixpointStrategy(FixpointStrategy S);
+  /// The request configuration, applied to every context. Not
+  /// thread-safe against a running batch.
+  RequestConfig config() const { return Opts.config(); }
+  void setConfig(const RequestConfig &C);
 
   /// The dispatcher's pool, sized to jobs() threads, with one warm
   /// AnalysisContext per worker. Lazily constructed on first use so

@@ -531,7 +531,7 @@ TEST(BatchProtocol, UnknownConfigKeyIsRejectedStructurally) {
     EXPECT_EQ(E->str("key"), Key);
     EXPECT_EQ(E->get("line")->asNumber(), 1);
     // The near-miss did NOT silently enable sharing.
-    EXPECT_FALSE(Session.shareFixpointsEnabled());
+    EXPECT_FALSE(Session.config().ShareFixpoints);
   }
 }
 
@@ -544,7 +544,7 @@ TEST(BatchProtocol, KnownConfigKeysStillApply) {
   JsonRef R = parseJson(Out, Err);
   ASSERT_NE(R, nullptr) << Err;
   EXPECT_TRUE(R->get("ok")->asBool());
-  EXPECT_TRUE(Session.shareFixpointsEnabled());
+  EXPECT_TRUE(Session.config().ShareFixpoints);
   EXPECT_EQ(Session.jobs(), 2u);
 }
 
@@ -728,9 +728,7 @@ TEST(SlowQueryLog, ToJsonCarriesReproductionPayload) {
   R.RequestJson =
       "{\"id\":\"q1\",\"op\":\"contains\",\"e1\":\"/a//b\",\"e2\":\"//b\","
       "\"dtd\":\"xhtml\"}";
-  R.Optimize = true;
-  R.Share = true;
-  R.Strategy = "auto";
+  R.Config = RequestConfig{true, true, FixpointStrategy::Auto};
   JsonRef J = SlowQueryLog::toJson(R);
   // The request embeds as an object (re-parsed, not a quoted string) —
   // what `xsolve replay` re-executes.

@@ -464,7 +464,7 @@ TEST(OptimizePrePass, ConfigLineTogglesMidStream) {
   size_t Answered = runBatchJsonLines(Session, In, Out, &Failed);
   EXPECT_EQ(Answered, 2u);
   EXPECT_EQ(Failed, 0u);
-  EXPECT_TRUE(Session.optimizeEnabled());
+  EXPECT_TRUE(Session.config().Optimize);
   EXPECT_NE(Out.str().find("\"optimize\":true"), std::string::npos);
   EXPECT_NE(Out.str().find("\"optimized\":\"child::a/descendant::b\""),
             std::string::npos);

@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -699,4 +700,106 @@ TEST(Server, HttpConnectionCapAnswers503) {
   ASSERT_TRUE(httpGet(Second, "/healthz", H2));
   EXPECT_EQ(H2.Status, "HTTP/1.1 503 Service Unavailable");
   EXPECT_EQ(H2.Connection, "close");
+}
+
+TEST(Server, RejectedConfigLineCommitsNothing) {
+  ServerOptions Opts = stableServerOptions(1);
+  Opts.DefaultStable = false;
+  ServerFixture F(Opts);
+  LineClient C = F.connect();
+  std::string Resp, Error;
+  ASSERT_TRUE(C.sendLine("{\"op\":\"config\",\"ns\":\"b\",\"stable\":true,"
+                         "\"optimize\":\"yes\"}"));
+  ASSERT_TRUE(C.recvLine(Resp));
+  JsonRef R = parseJson(Resp, Error);
+  ASSERT_NE(R, nullptr) << Error;
+  EXPECT_FALSE(R->get("ok")->asBool());
+  EXPECT_EQ(R->get("error")->str("code"), "invalid_config_value");
+  EXPECT_EQ(R->get("error")->str("key"), "optimize");
+
+  // The valid ns and stable of the rejected line were not applied...
+  ASSERT_TRUE(C.sendLine("{\"op\":\"config\"}"));
+  ASSERT_TRUE(C.recvLine(Resp));
+  R = parseJson(Resp, Error);
+  ASSERT_NE(R, nullptr) << Error;
+  EXPECT_TRUE(R->get("ok")->asBool());
+  EXPECT_EQ(R->str("ns"), "default");
+  EXPECT_FALSE(R->get("stable")->asBool());
+
+  // ...and namespace b was never created; the error counts against the
+  // namespace the connection was in.
+  ASSERT_TRUE(C.sendLine("{\"op\":\"stats\"}"));
+  ASSERT_TRUE(C.recvLine(Resp));
+  R = parseJson(Resp, Error);
+  ASSERT_NE(R, nullptr) << Error;
+  JsonRef Namespaces = R->get("namespaces");
+  EXPECT_FALSE(Namespaces->has("b")) << Resp;
+  EXPECT_EQ(Namespaces->get("default")->get("errors")->asNumber(), 1);
+}
+
+TEST(Server, EveryConfigKeyRoundTripsThroughEchoSlowlogAndReplay) {
+  // A non-default value for every key the shared reader accepts; a key
+  // added to RequestConfigKeys without a row here fails the test.
+  const std::map<std::string, std::string> NonDefault = {
+      {"optimize", "true"},
+      {"share_fixpoints", "true"},
+      {"fixpoint_strategy", "\"chaining\""}};
+  ObsCapture Obs;
+  ServerOptions Opts = stableServerOptions(1);
+  Opts.SlowThresholdMs = 0; // capture every request
+  ServerFixture F(Opts);
+  LineClient C = F.connect();
+  for (const char *Key : RequestConfigKeys) {
+    SCOPED_TRACE(Key);
+    auto Row = NonDefault.find(Key);
+    ASSERT_NE(Row, NonDefault.end()) << "no non-default value for this key";
+    const std::string Set = "\"" + std::string(Key) + "\":" + Row->second;
+    SlowQueryLog::global().clearForTest();
+
+    // The batch and the server echo the same config.
+    AnalysisSession Batch;
+    std::istringstream In("{\"op\":\"config\"," + Set + "}\n");
+    std::ostringstream Out;
+    runBatchJsonLines(Batch, In, Out);
+    std::string Error;
+    JsonRef B = parseJson(Out.str(), Error);
+    ASSERT_NE(B, nullptr) << Error;
+    EXPECT_EQ(B->get(Key)->dump(), Row->second);
+    std::string Resp;
+    ASSERT_TRUE(C.sendLine("{\"op\":\"config\",\"ns\":\"" + std::string(Key) +
+                           "\"," + Set + "}"));
+    ASSERT_TRUE(C.recvLine(Resp));
+    JsonRef S = parseJson(Resp, Error);
+    ASSERT_NE(S, nullptr) << Error;
+    for (const char *K : RequestConfigKeys)
+      EXPECT_EQ(S->get(K)->dump(), B->get(K)->dump()) << K;
+
+    // A request under it records the value in its slowlog config.
+    ASSERT_TRUE(C.sendLine("{\"id\":\"rt\",\"op\":\"empty\",\"e1\":\"//rt_" +
+                           std::string(Key) + "\"}"));
+    ASSERT_TRUE(C.recvLine(Resp));
+    ASSERT_TRUE(C.sendLine("{\"op\":\"slowlog\"}"));
+    ASSERT_TRUE(C.recvLine(Resp));
+    JsonRef Slow = parseJson(Resp, Error);
+    ASSERT_NE(Slow, nullptr) << Error;
+    const std::vector<JsonRef> &Entries =
+        Slow->get("slowlog")->get("entries")->items();
+    ASSERT_EQ(Entries.size(), 1u) << Resp;
+    EXPECT_EQ(Entries[0]->get("config")->get(Key)->dump(), Row->second);
+
+    // Replaying the capture reproduces the config in a fresh batch.
+    std::string ReplayText;
+    size_t Skipped = 0;
+    ASSERT_TRUE(slowlogToBatch(Slow->get("slowlog")->dump(), ReplayText,
+                               Skipped, Error))
+        << Error;
+    EXPECT_EQ(Skipped, 0u);
+    AnalysisSession Replayed;
+    std::istringstream ReplayIn(ReplayText);
+    std::ostringstream ReplayOut;
+    size_t Failed = 0;
+    runBatchJsonLines(Replayed, ReplayIn, ReplayOut, &Failed);
+    EXPECT_EQ(Failed, 0u) << ReplayOut.str();
+    EXPECT_EQ(Replayed.config(), Batch.config());
+  }
 }

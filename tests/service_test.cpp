@@ -19,6 +19,7 @@
 #include "obs/Trace.h"
 #include "service/Batch.h"
 #include "service/Cache.h"
+#include "service/Config.h"
 #include "service/Session.h"
 #include "support/WorkerPool.h"
 
@@ -1051,14 +1052,14 @@ TEST(FixpointSharing, ColdParallelSeededOutputMatchesSerial) {
 
 TEST(FixpointSharing, ConfigLineTogglesSharingMidStream) {
   AnalysisSession Session;
-  EXPECT_FALSE(Session.shareFixpointsEnabled());
+  EXPECT_FALSE(Session.config().ShareFixpoints);
   std::vector<JsonRef> Resps = runLines(
       Session, "{\"op\":\"config\",\"share_fixpoints\":true}\n" +
                    nearDuplicateInput(2));
   ASSERT_GE(Resps.size(), 1u);
   EXPECT_TRUE(Resps[0]->get("ok")->asBool());
   EXPECT_TRUE(Resps[0]->get("share_fixpoints")->asBool());
-  EXPECT_TRUE(Session.shareFixpointsEnabled());
+  EXPECT_TRUE(Session.config().ShareFixpoints);
   EXPECT_GT(Session.stats().FixpointSeededRuns, 0u);
 }
 
@@ -1204,7 +1205,7 @@ TEST(FixpointStrategyService, StableOutputByteIdenticalAcrossStrategiesAndJobs) 
 
 TEST(FixpointStrategyService, ConfigLineSwitchesStrategyMidStream) {
   AnalysisSession Session;
-  EXPECT_EQ(Session.fixpointStrategy(), FixpointStrategy::Bfs);
+  EXPECT_EQ(Session.config().Strategy, FixpointStrategy::Bfs);
   std::vector<JsonRef> Resps = runLines(
       Session,
       "{\"id\":\"cfg\",\"op\":\"config\",\"fixpoint_strategy\":"
@@ -1213,7 +1214,7 @@ TEST(FixpointStrategyService, ConfigLineSwitchesStrategyMidStream) {
   ASSERT_GE(Resps.size(), 2u);
   EXPECT_TRUE(Resps[0]->get("ok")->asBool());
   EXPECT_EQ(Resps[0]->str("fixpoint_strategy"), "chaining");
-  EXPECT_EQ(Session.fixpointStrategy(), FixpointStrategy::Chaining);
+  EXPECT_EQ(Session.config().Strategy, FixpointStrategy::Chaining);
   // Every solver run after the switch executed under Chaining, and the
   // cumulative stats say so.
   SessionStats S = Session.stats();
@@ -1243,7 +1244,7 @@ TEST(FixpointStrategyService, InvalidStrategyValueIsStructurallyRejected) {
   }
   EXPECT_EQ(Resps[0]->get("error")->str("value"), "chainning");
   // The typo must not have left a half-applied strategy in force.
-  EXPECT_EQ(Session.fixpointStrategy(), FixpointStrategy::Bfs);
+  EXPECT_EQ(Session.config().Strategy, FixpointStrategy::Bfs);
 
   // Volatile responses carry the strategy actually used per request.
   std::vector<JsonRef> Run = runLines(Session, nearDuplicateInput(1));
@@ -1395,6 +1396,108 @@ TEST(BatchJsonLines, StopFlagEndsTheStreamBetweenLines) {
   runBatchJsonLines(Session, In, Out, nullptr, Opts);
   EXPECT_EQ(Out.str(), "") << "no lines consumed after the stop flag";
   EXPECT_EQ(Session.stats().Solves, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Request config: one reader, one echo, one flag parser
+//===----------------------------------------------------------------------===//
+
+TEST(RequestConfigProtocol, BadBatchConfigValuesAreRejectedStructurally) {
+  // Each line is refused with the key and value at fault, and nothing of
+  // it is applied — not even the valid 'jobs' of the mixed last line.
+  struct Case {
+    const char *Line, *Key, *Value;
+  };
+  const Case Cases[] = {
+      {R"({"id":"e","op":"config","optimize":"yes"})", "optimize",
+       R"("yes")"},
+      {R"({"id":"e","op":"config","share_fixpoints":1})", "share_fixpoints",
+       "1"},
+      {R"({"id":"e","op":"config","jobs":-1})", "jobs", "-1"},
+      {R"({"id":"e","op":"config","jobs":1.5})", "jobs", "1.5"},
+      {R"({"id":"e","op":"config","jobs":2,"optimize":"yes"})", "optimize",
+       R"("yes")"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Line);
+    AnalysisSession Session;
+    std::vector<JsonRef> Resps = runLines(Session, std::string(C.Line) + "\n");
+    ASSERT_EQ(Resps.size(), 1u);
+    EXPECT_EQ(Resps[0]->str("id"), "e");
+    EXPECT_FALSE(Resps[0]->get("ok")->asBool());
+    JsonRef E = Resps[0]->get("error");
+    EXPECT_EQ(E->str("code"), "invalid_config_value");
+    EXPECT_EQ(E->str("key"), C.Key);
+    EXPECT_EQ(E->str("value"), C.Value);
+    EXPECT_EQ(E->get("line")->asNumber(), 1);
+    EXPECT_EQ(Session.config(), RequestConfig());
+    EXPECT_EQ(Session.jobs(), 1u);
+  }
+}
+
+TEST(RequestConfigProtocol, KeyRolesInTheCacheKeys) {
+  auto Keys = [](const RequestConfig &C) {
+    SessionOptions S;
+    S.setConfig(C);
+    return std::pair{solverOptionsKey(S.Solver), fixpointOptionsKey(S.Solver)};
+  };
+  const RequestConfig Default;
+  RequestConfig Strategy;
+  Strategy.Strategy = FixpointStrategy::Chaining;
+  EXPECT_NE(Keys(Strategy).first, Keys(Default).first);
+  RequestConfig Share;
+  Share.ShareFixpoints = true;
+  EXPECT_EQ(Keys(Share), Keys(Default));
+  RequestConfig Optimize;
+  Optimize.Optimize = true;
+  EXPECT_EQ(Keys(Optimize), Keys(Default));
+
+  // Fixpoint sharing is output-invisible: --stable bytes do not move.
+  AnalysisSession Off, On;
+  On.setConfig(Share);
+  EXPECT_EQ(runLinesRaw(Off, nearDuplicateInput(2), /*Stable=*/true),
+            runLinesRaw(On, nearDuplicateInput(2), /*Stable=*/true));
+}
+
+TEST(RequestConfigProtocol, CliFlagsFillOneConfig) {
+  std::vector<std::string> Args = {"xsolve",     "--optimize",
+                                   "--share-fixpoints", "--fixpoint-strategy",
+                                   "saturation", "--stable"};
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  const int Argc = static_cast<int>(Argv.size());
+  RequestConfig C;
+  std::string Error;
+  int I = 1;
+  for (; I < 4; ++I)
+    EXPECT_TRUE(parseRequestConfigFlag(Argc, Argv.data(), I, C, Error));
+  EXPECT_EQ(I, 5) << "the strategy value was consumed";
+  EXPECT_FALSE(parseRequestConfigFlag(Argc, Argv.data(), I, C, Error));
+  EXPECT_EQ(Error, "");
+  EXPECT_EQ(C, (RequestConfig{true, true, FixpointStrategy::Saturation}));
+
+  Args[4] = "saturate";
+  Argv[4] = Args[4].data();
+  I = 3;
+  EXPECT_TRUE(parseRequestConfigFlag(Argc, Argv.data(), I, C, Error));
+  EXPECT_NE(Error.find("saturate"), std::string::npos);
+}
+
+TEST(RequestConfigProtocol, IntegerFlagTakesOnlyWholeIntegersInRange) {
+  long N = -7;
+  EXPECT_TRUE(parseIntegerFlag("0", 0, 65535, N));
+  EXPECT_EQ(N, 0);
+  EXPECT_TRUE(parseIntegerFlag("65535", 0, 65535, N));
+  EXPECT_EQ(N, 65535);
+  // What atoi used to turn into an ephemeral or truncated port.
+  for (const char *Bad : {"", "abc", "70000", "65536", "-1", "12x", "80 ",
+                          "1.5", "99999999999999999999999"}) {
+    N = -7;
+    EXPECT_FALSE(parseIntegerFlag(Bad, 0, 65535, N)) << "'" << Bad << "'";
+    EXPECT_EQ(N, -7) << "a rejected flag leaves the output alone";
+  }
+  EXPECT_FALSE(parseIntegerFlag("0", 1, 10, N)) << "below the minimum";
 }
 
 } // namespace
